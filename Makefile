@@ -11,6 +11,7 @@ install:
 
 test: sweep-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke
 	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest repobench/tests -q
 
 # Co-scheduling suite: contention injectors, co-run profiling sweep,
 # the interference predictor and the profile-driven placement policy.

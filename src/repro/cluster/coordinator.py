@@ -18,13 +18,15 @@ contribution of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.cluster.node_sim import ClusterNode
 from repro.errors import SimulationError
 from repro.measure.report import MeasurementRow, format_measurement_table
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sched.cluster import SchedNode
 
 #: Guaranteed per-node power floor, W (idle draw ~47 W plus headroom for
 #: at least one active core).
@@ -67,7 +69,7 @@ class PowerCoordinator:
     def __init__(
         self,
         engine: Engine,
-        nodes: Sequence[ClusterNode],
+        nodes: Sequence["SchedNode"],
         global_budget_w: float,
         *,
         period_s: float = 1.0,
@@ -198,50 +200,37 @@ def run_cluster(
 ) -> ClusterResult:
     """Run ``(app, compiler)`` workloads, one per node, under one budget.
 
+    A :class:`~repro.sched.cluster.ClusterSim` run over a fixed job list
+    submitted at t=0: first-come first-fit places job *i* on node *i*.
     Returns per-node measurement rows plus the coordinated power trace.
     ``engine`` lets callers supply (and keep a handle on) the shared
     event engine; tests use it to assert teardown leaves no timers behind.
     """
-    engine = engine if engine is not None else Engine()
-    nodes = [
-        ClusterNode(
-            f"node{i}",
-            engine,
-            app=app,
+    from repro.sched.cluster import ClusterSim
+    from repro.sched.spec import SchedSpec
+    from repro.sched.workload import Job
+
+    n = len(workloads)
+    jobs = [
+        Job(index=i, submit_s=0.0, app=app, threads=threads, scale=1.0,
             compiler=compiler,
-            optlevel="O3" if compiler == "maestro" else "O2",
-            threads=threads,
-            budget_w=global_budget_w / len(workloads),
-            seed=seed + i,
-        )
+            optlevel="O3" if compiler == "maestro" else "O2")
         for i, (app, compiler) in enumerate(workloads)
     ]
-    coordinator = PowerCoordinator(engine, nodes, global_budget_w, period_s=period_s)
-    for node in nodes:
-        node.launch()
-    coordinator.start()
-
-    # Daemons tick forever, so drive the engine in slices until every
-    # node's workload has completed.  The coordinator and per-node
-    # daemons/clamps hold repeating engine timers; a timeout (or any
-    # other exception from the drive loop) must still cancel them, or
-    # the events leak into any later use of the engine.
-    try:
-        while not all(node.done for node in nodes):
-            if engine.now > time_limit_s:
-                unfinished = [n.name for n in nodes if not n.done]
-                raise SimulationError(
-                    f"cluster run exceeded {time_limit_s} s; unfinished: {unfinished}"
-                )
-            engine.run(until=engine.now + period_s)
-    finally:
-        coordinator.stop()
-        for node in nodes:
-            node.shutdown()
-    rows = [node.finish() for node in nodes]
+    spec = SchedSpec(
+        policy="fcfs", nodes=n, budget_w=global_budget_w, jobs=n,
+        queue_depth=n, node_threads=threads, seed=seed, period_s=period_s,
+        coordinator_period_s=period_s, time_limit_s=time_limit_s,
+    )
+    sim = ClusterSim(spec, jobs, engine=engine)
+    result = sim.run()
     return ClusterResult(
-        rows=rows,
-        peak_power_w=coordinator.peak_cluster_power_w,
+        rows=[
+            MeasurementRow(label=f"{job.node}:{job.app}", time_s=job.time_s,
+                           energy_j=job.energy_j, avg_watts=job.avg_watts)
+            for job in result.jobs
+        ],
+        peak_power_w=sim.coordinator.peak_cluster_power_w,
         global_budget_w=global_budget_w,
-        samples=coordinator.samples,
+        samples=sim.coordinator.samples,
     )

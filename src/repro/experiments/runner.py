@@ -33,6 +33,7 @@ from repro.openmp import OmpEnv
 from repro.qthreads import Runtime
 from repro.qthreads.runtime import RunResult
 from repro.rcr import Blackboard, RCRDaemon, RegionClient, RegionReport
+from repro.sim.engine import Engine
 from repro.throttle import ThrottleController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -100,6 +101,7 @@ def run_measurement(
     meter: Optional[MeterConfig] = None,
     app_kwargs: Optional[dict] = None,
     checker: Optional["InvariantChecker"] = None,
+    engine: Optional[Engine] = None,
 ) -> MeasurementResult:
     """Run one application through the full measurement stack.
 
@@ -116,12 +118,17 @@ def run_measurement(
     probes, so a checked run produces bit-identical results to an
     unchecked one; it is detached (running its final invariant battery)
     even if the run raises.
+
+    ``engine`` optionally supplies the discrete-event engine (e.g. one
+    carrying an enabled trace, for golden digests); by default the
+    runtime builds its own.
     """
     if profile is None:
         profile = app_profile(app, compiler, optlevel, machine)
     runtime = Runtime(
         machine,
         RuntimeConfig(num_threads=threads),
+        engine=engine,
         seed=seed,
         warm=warm,
     )

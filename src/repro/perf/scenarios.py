@@ -13,10 +13,12 @@ Two families:
 Every scenario is deterministic, so wall time is the only thing that
 varies between runs; :mod:`repro.perf.timing` takes the best of N.
 
-The same full-stack builder (:func:`run_stack`) also powers the
-golden-trace digests (:mod:`repro.perf.golden`), so the configuration
-being benchmarked and the configuration being pinned for bit-identity are
-one and the same.
+The full-stack entry point (:func:`run_stack`) is the experiments'
+own :func:`~repro.experiments.runner.run_measurement` with a traceable
+engine, and it also powers the golden-trace digests
+(:mod:`repro.perf.golden`): the configuration being benchmarked, the
+configuration being pinned for bit-identity and the pipeline every
+experiment runs are one and the same.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class StackResult:
 
     engine: Engine
     node: Any
-    runtime: Any
     daemon: Any
     report: Any  # RegionReport
     run: Any  # RunResult
@@ -61,70 +62,24 @@ def run_stack(
 ) -> StackResult:
     """Run one application through the full measurement stack.
 
-    Mirrors :func:`repro.experiments.runner.run_measurement` exactly, with
-    one addition: the engine can carry an *enabled* trace so golden tests
-    can hash the complete event timeline.  Imports are deferred so the
-    engine microbenchmarks do not pay for the full stack's import graph.
+    This *is* :func:`repro.experiments.runner.run_measurement`, handed an
+    engine that can carry an *enabled* trace so golden tests can hash the
+    complete event timeline.  The import is deferred so the engine
+    microbenchmarks do not pay for the full stack's import graph.
     """
-    from repro.calibration.profiles import get_profile
-    from repro.config import PAPER_MACHINE, RuntimeConfig, ThrottleConfig
-    from repro.faults import FaultInjector
-    from repro.apps import build_app
-    from repro.openmp import OmpEnv
-    from repro.qthreads import Runtime
-    from repro.rcr import Blackboard, RCRDaemon, RegionClient
-    from repro.throttle import ThrottleController
+    from repro.experiments.runner import run_measurement
 
-    machine = PAPER_MACHINE
     engine = Engine(trace=Trace(enabled=trace, capacity=trace_capacity))
-    profile = get_profile(app, compiler, optlevel, machine)
-    runtime = Runtime(
-        machine,
-        RuntimeConfig(num_threads=threads),
-        engine=engine,
-        seed=seed,
-        warm=True,
+    result = run_measurement(
+        app, compiler, optlevel, threads, throttle=throttle, faults=faults,
+        meter=meter, seed=seed, scale=scale, checker=checker, engine=engine,
     )
-    injector = None
-    if faults is not None and not faults.inert:
-        injector = FaultInjector(
-            faults,
-            runtime.rng.stream("faults"),
-            now_fn=lambda: runtime.engine.now,
-        )
-    blackboard = Blackboard()
-    daemon = RCRDaemon(
-        runtime.engine, runtime.node, blackboard, faults=injector, meter=meter
-    )
-    daemon.start()
-    client = RegionClient(runtime.engine, blackboard, machine.sockets, daemon=daemon)
-    controller = None
-    if throttle:
-        controller = ThrottleController(
-            runtime.engine, runtime.scheduler, blackboard, ThrottleConfig(enabled=True)
-        )
-        controller.start()
-
-    if checker is not None:
-        checker.attach(runtime.engine, runtime.node)
-
-    env = OmpEnv(num_threads=threads)
-    program = build_app(app, env, profile=profile, payload=False, scale=scale)
-    client.start(app)
-    run = runtime.run(program, label=app)
-    report = client.end(app)
-    daemon.stop()
-    if controller is not None:
-        controller.stop()
-    if checker is not None:
-        checker.detach()
     return StackResult(
         engine=engine,
-        node=runtime.node,
-        runtime=runtime,
-        daemon=daemon,
-        report=report,
-        run=run,
+        node=result.daemon.node,
+        daemon=result.daemon,
+        report=result.region,
+        run=result.run,
     )
 
 

@@ -19,8 +19,8 @@ remain meaningful, and the roofline envelope oracle audits every run's
 aggregates at the end.
 
 The event loop is a plain two-stream merge — pending arrivals (pulled
-one at a time from :func:`~repro.sched.workload.iter_trace`, so memory
-stays O(nodes + queue)) against a finish-time heap — with a fixed
+one at a time from the job iterator the sim is given, so memory stays
+O(nodes + queue)) against a finish-time heap — with a fixed
 deterministic tie rule (finishes before arrivals at equal times).
 Segmentation carries ``(clock, accumulator, records)`` exactly like the
 full path, so checkpoint/resume identity holds here too.
@@ -29,9 +29,8 @@ full path, so checkpoint/resume identity holds here too.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.cluster.coordinator import NODE_FLOOR_W
 from repro.errors import SimulationError
@@ -41,7 +40,7 @@ from repro.sched.policy import ClusterState, NodeView, make_policy
 from repro.sched.queue import AdmissionQueue
 from repro.sched.result import JobRecord, SchedResult
 from repro.sched.roofline import job_cost, roofline_envelope
-from repro.sched.workload import iter_trace
+from repro.sched.workload import Job, spec_jobs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sched.spec import SchedSpec
@@ -53,30 +52,18 @@ class AnalyticSim:
     def __init__(
         self,
         spec: "SchedSpec",
+        jobs: Iterable[Job],
         *,
         bus: Optional[TelemetryBus] = None,
-        start: int = 0,
-        limit: Optional[int] = None,
         clock_s: float = 0.0,
         accumulator: Optional[SchedAccumulator] = None,
         records: Optional[list[JobRecord]] = None,
     ) -> None:
         self.spec = spec
         self.bus = bus if bus is not None else TelemetryBus()
-        if limit is None:
-            limit = spec.jobs - start
-        self._source = itertools.islice(
-            iter_trace(
-                spec.profile,
-                jobs=spec.jobs,
-                rate_jobs_per_s=spec.rate_jobs_per_s,
-                seed=spec.seed,
-                apps=spec.apps,
-                scale=spec.scale,
-                start=start,
-            ),
-            limit,
-        )
+        #: This segment's jobs, pulled one at a time; the segment ends
+        #: when the source runs out.
+        self._source = iter(jobs)
         self.accumulator = (
             accumulator if accumulator is not None else SchedAccumulator()
         )
@@ -223,7 +210,7 @@ def run_analytic(
         return run_segmented(spec, bus=bus, checkpoint_dir=checkpoint_dir)
     bus = bus if bus is not None else TelemetryBus()
     t0 = time.perf_counter()
-    sim = AnalyticSim(spec, bus=bus)
+    sim = AnalyticSim(spec, spec_jobs(spec), bus=bus)
     sim.run_segment()
     sim.accumulator.add_violations(
         roofline_envelope(spec, sim.accumulator.snapshot())

@@ -7,7 +7,7 @@ trace to completion (queue empty, nodes idle), then the compact carry
 state — ``(next job index, simulation clock, streaming accumulator,
 retained records)`` — is pickled to an atomic checkpoint file.  A killed
 process re-enters at the last checkpoint: the trace iterator re-seeks by
-redrawing (``start=k`` on :func:`~repro.sched.workload.iter_trace`),
+redrawing (``start=k`` on :func:`~repro.sched.workload.spec_jobs`),
 a fresh engine starts at the carried clock, and the accumulator resumes
 exactly where it stopped.
 
@@ -39,6 +39,7 @@ from repro.errors import ConfigError
 from repro.harness.telemetry import TelemetryBus
 from repro.sched.aggregate import SchedAccumulator
 from repro.sched.result import JobRecord, SchedResult
+from repro.sched.workload import spec_jobs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sched.spec import SchedSpec
@@ -124,14 +125,14 @@ def _run_one_segment(
     limit: int,
 ) -> float:
     """Execute one drained segment against the carried state in place."""
+    jobs = spec_jobs(spec, start=state.next_start, limit=limit)
     if spec.execution == "analytic":
         from repro.sched.analytic import AnalyticSim
 
         sim = AnalyticSim(
             spec,
+            jobs,
             bus=bus,
-            start=state.next_start,
-            limit=limit,
             clock_s=state.clock_s,
             accumulator=state.accumulator,
             records=state.records,
@@ -142,10 +143,9 @@ def _run_one_segment(
 
     sim = ClusterSim(
         spec,
+        jobs,
         bus=bus,
         engine=Engine(start_time=state.clock_s),
-        start=state.next_start,
-        limit=limit,
         accumulator=state.accumulator,
         records=state.records,
     )

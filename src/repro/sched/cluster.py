@@ -9,39 +9,39 @@ global budget, and the scheduler itself: trace arrivals feed a bounded
 tick snapshots the cluster and asks the placement policy where queued
 jobs should run.
 
-Arrivals are *streamed*: the trace is pulled lazily from
-:func:`~repro.sched.workload.iter_trace` and at most
-:data:`ARRIVAL_WINDOW` arrival events are in the engine at once — each
-arrival that fires schedules the next job from the iterator, so a
-million-job trace never materializes.  Finished jobs fold into a
-:class:`~repro.sched.aggregate.SchedAccumulator` as they complete;
-per-job :class:`~repro.sched.result.JobRecord` tuples are kept only
-when the spec's ``retain_jobs`` flag says so.
+Arrivals are *streamed*: the sim takes its jobs as an iterable (the
+lazy :func:`~repro.sched.workload.spec_jobs` for a spec's trace, or a
+fixed list — :func:`repro.cluster.run_cluster` hands it one job per node
+at t=0) and at most :data:`ARRIVAL_WINDOW` arrival events are in the
+engine at once — each arrival that fires schedules the next job from
+the iterator, so a million-job trace never materializes.  Finished jobs
+fold into a :class:`~repro.sched.aggregate.SchedAccumulator` as they
+complete; per-job :class:`~repro.sched.result.JobRecord` tuples are kept
+only when the spec's ``retain_jobs`` flag says so.
 
-A :class:`ClusterSim` can also run a *segment* of a trace (``start`` +
-``limit``) against carried accumulator state: the checkpoint/resume
-runner in :mod:`repro.sched.checkpoint` drives one fresh sim per
-segment, draining between segments, which is what makes kill-and-resume
-bit-identical to an uninterrupted segmented run.
+A :class:`ClusterSim` can also run a *segment* of a trace against
+carried accumulator state: the checkpoint/resume runner in
+:mod:`repro.sched.checkpoint` drives one fresh sim per segment, handing
+each the segment's slice of the trace and draining between segments,
+which is what makes kill-and-resume bit-identical to an uninterrupted
+segmented run.  A segment ends when its job source runs out and every
+pulled job has finished.
 
-Unlike :class:`~repro.cluster.node_sim.ClusterNode` (one workload per
-node, then done), a :class:`SchedNode` runs a *sequence* of jobs: the
-runtime's root-task slot is reused per job (``spawn_root`` is re-armable
-once the previous root completes) and every job gets its own named
-measurement region, so per-job energy figures come from the same
-RCR path as the paper's single-node tables.
+A :class:`SchedNode` runs a *sequence* of jobs: the runtime's root-task
+slot is reused per job (``spawn_root`` is re-armable once the previous
+root completes) and every job gets its own named measurement region, so
+per-job energy figures come from the same RCR path as the paper's
+single-node tables.
 
-Teardown mirrors the hardened ``run_cluster`` contract: the coordinator,
-the scheduling tick and every node's clamp/daemon timers are cancelled
-in a ``finally``, so even a timed-out run leaves no repeating events in
-the engine.
+Teardown is exception-safe: the coordinator, the scheduling tick and
+every node's clamp/daemon timers are cancelled in a ``finally``, so
+even a timed-out run leaves no repeating events in the engine.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.apps import build_app
 from repro.config import MachineConfig, PAPER_MACHINE, RuntimeConfig
@@ -60,7 +60,7 @@ from repro.sched.policy import (
 )
 from repro.sched.queue import AdmissionQueue
 from repro.sched.result import JobRecord, SchedResult
-from repro.sched.workload import Job, iter_trace
+from repro.sched.workload import Job, spec_jobs
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
 from repro.throttle.clamp import PowerClampController
@@ -81,11 +81,11 @@ ARRIVAL_WINDOW = 64
 class SchedNode:
     """One cluster node that runs scheduler-dispatched jobs in sequence.
 
-    Presents the same duck-typed surface the
-    :class:`~repro.cluster.coordinator.PowerCoordinator` reads off
-    ``ClusterNode`` — ``name``, ``clamp``, ``measured_power_w``,
-    ``done``, ``wants_more_power`` — where "done" means *idle*: an idle
-    node bids only the power floor, so budget flows to nodes with work.
+    Presents the surface the
+    :class:`~repro.cluster.coordinator.PowerCoordinator` reads —
+    ``name``, ``clamp``, ``measured_power_w``, ``done``,
+    ``wants_more_power`` — where "done" means *idle*: an idle node bids
+    only the power floor, so budget flows to nodes with work.
 
     Finished jobs are handed to the owning sim's ``_on_finish`` callback
     rather than accumulated here, so a node's memory footprint is
@@ -242,11 +242,10 @@ class ClusterSim:
     def __init__(
         self,
         spec: "SchedSpec",
+        jobs: Iterable[Job],
         *,
         bus: Optional[TelemetryBus] = None,
         engine: Optional[Engine] = None,
-        start: int = 0,
-        limit: Optional[int] = None,
         accumulator: Optional[SchedAccumulator] = None,
         records: Optional[list[JobRecord]] = None,
         registry=None,
@@ -284,22 +283,10 @@ class ClusterSim:
         self._job_spans: dict[str, object] = {}
         self.engine = engine if engine is not None else Engine()
         self.policy: PlacementPolicy = make_policy(spec.policy, model=spec.predictor)
-        if limit is None:
-            limit = spec.jobs - start
-        self._segment_jobs = limit
-        #: Lazy source of this segment's jobs; never materialized.
-        self._source = itertools.islice(
-            iter_trace(
-                spec.profile,
-                jobs=spec.jobs,
-                rate_jobs_per_s=spec.rate_jobs_per_s,
-                seed=spec.seed,
-                apps=spec.apps,
-                scale=spec.scale,
-                start=start,
-            ),
-            limit,
-        )
+        #: Lazy source of this segment's jobs; never materialized.  The
+        #: segment ends once it runs out and every pulled job has drained.
+        self._source = iter(jobs)
+        self._exhausted = False
         self.accumulator = (
             accumulator if accumulator is not None else SchedAccumulator()
         )
@@ -396,7 +383,8 @@ class ClusterSim:
     # ------------------------------------------------------------------
     def _finished(self) -> bool:
         return (
-            self._arrived == self._segment_jobs
+            self._exhausted
+            and self._arrived == self._scheduled
             and len(self.queue) == 0
             and all(not node.busy for node in self.nodes)
         )
@@ -410,10 +398,13 @@ class ClusterSim:
         uninterrupted and resumed executions of the same spec.
         """
         while (
-            self._scheduled - self._arrived < ARRIVAL_WINDOW
-            and self._scheduled < self._segment_jobs
+            not self._exhausted
+            and self._scheduled - self._arrived < ARRIVAL_WINDOW
         ):
-            job = next(self._source)
+            job = next(self._source, None)
+            if job is None:
+                self._exhausted = True
+                return
             self.engine.schedule_at(
                 max(job.submit_s, self.engine.now),
                 self._arrival(job),
@@ -556,5 +547,5 @@ def run_sched(
         from repro.sched.checkpoint import run_segmented
 
         return run_segmented(spec, bus=bus, checkpoint_dir=checkpoint_dir)
-    return ClusterSim(spec, bus=bus, engine=engine, registry=registry,
-                      tracer=tracer).run()
+    return ClusterSim(spec, spec_jobs(spec), bus=bus, engine=engine,
+                      registry=registry, tracer=tracer).run()

@@ -32,12 +32,16 @@ bit-identical stream regardless of what else consumed randomness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.rng import RngStreams
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sched.spec import SchedSpec
 
 #: Default job mix: fast registry apps with distinct power/scaling
 #: shapes, so placement decisions actually face heterogeneous demand.
@@ -207,6 +211,31 @@ def iter_trace(
             compiler=compiler,
             optlevel=optlevel,
         )
+
+
+def spec_jobs(
+    spec: "SchedSpec", start: int = 0, limit: Optional[int] = None
+) -> Iterator[Job]:
+    """The lazy job stream of a ``SchedSpec``'s trace, jobs
+    ``[start, start + limit)`` (to the end when ``limit`` is None).
+
+    The one place a campaign simulator's input is drawn from the spec;
+    the simulators themselves take any iterable of jobs.
+    """
+    if limit is None:
+        limit = spec.jobs - start
+    return itertools.islice(
+        iter_trace(
+            spec.profile,
+            jobs=spec.jobs,
+            rate_jobs_per_s=spec.rate_jobs_per_s,
+            seed=spec.seed,
+            apps=spec.apps,
+            scale=spec.scale,
+            start=start,
+        ),
+        limit,
+    )
 
 
 def generate_trace(

@@ -2,15 +2,24 @@
 
 Before the try/finally in :func:`repro.experiments.runner.run_measurement`,
 an exception from ``runtime.run`` (or the region end-read) leaked the
-daemon's and controller's engine timers into any later use of the engine.
+daemon's and controller's engine timers into any later use of the engine,
+and left an attached invariant checker hooked into the dead run.  The
+bench/golden entry point :func:`repro.perf.scenarios.run_stack` must give
+the same guarantees, so every case runs through both.
 """
 
 import pytest
 
 from repro.experiments.runner import run_measurement
+from repro.perf.scenarios import run_stack
 from repro.qthreads import Runtime
 from repro.rcr import RCRDaemon, RegionClient
 from repro.throttle import ThrottleController
+from repro.validate import InvariantChecker
+
+RUNNERS = pytest.mark.parametrize(
+    "runner", [run_measurement, run_stack], ids=["run_measurement", "run_stack"]
+)
 
 
 @pytest.fixture
@@ -32,28 +41,40 @@ def stop_spy(monkeypatch):
     return calls
 
 
-def test_stops_called_when_run_raises(monkeypatch, stop_spy):
+def _assert_detached(checker: InvariantChecker) -> None:
+    with pytest.raises(RuntimeError, match="not attached"):
+        checker.check_now()
+
+
+@RUNNERS
+def test_stops_called_when_run_raises(monkeypatch, stop_spy, runner):
     def boom(self, program, label=None):
         raise RuntimeError("app crashed mid-run")
 
     monkeypatch.setattr(Runtime, "run", boom)
+    checker = InvariantChecker()
     with pytest.raises(RuntimeError, match="app crashed mid-run"):
-        run_measurement("lulesh", compiler="maestro", optlevel="O3",
-                        throttle=True)
+        runner("lulesh", compiler="maestro", optlevel="O3", throttle=True,
+               checker=checker)
     assert stop_spy == ["daemon", "controller"]
+    _assert_detached(checker)
 
 
-def test_stops_called_when_region_end_raises(monkeypatch, stop_spy):
+@RUNNERS
+def test_stops_called_when_region_end_raises(monkeypatch, stop_spy, runner):
     def boom(self, name):
         raise RuntimeError("end-read failed")
 
     monkeypatch.setattr(RegionClient, "end", boom)
+    checker = InvariantChecker()
     with pytest.raises(RuntimeError, match="end-read failed"):
-        run_measurement("mergesort", throttle=True)
+        runner("mergesort", throttle=True, checker=checker)
     assert stop_spy == ["daemon", "controller"]
+    _assert_detached(checker)
 
 
-def test_stops_called_on_success_too(stop_spy):
-    result = run_measurement("mergesort")
-    assert result.time_s > 0
+@RUNNERS
+def test_stops_called_on_success_too(stop_spy, runner):
+    result = runner("mergesort")
+    assert result.run.elapsed_s > 0
     assert stop_spy == ["daemon"]  # no controller without throttling

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.cluster import ClusterNode, PowerCoordinator, run_cluster
+from repro.cluster import PowerCoordinator, run_cluster
 from repro.errors import SimulationError
 from repro.hw.msr import MSR_PKG_POWER_LIMIT
 from repro.qthreads import Spawn, Taskwait, Work
 from repro.rcr import Blackboard, RCRDaemon
+from repro.sched.cluster import SchedNode
+from repro.sched.workload import Job
 from repro.sim.engine import Engine
 from repro.throttle.clamp import (
     PowerClampController,
@@ -218,14 +220,22 @@ def test_coordinator_budgets_never_exceed_global():
             assert budget >= 60.0  # NODE_FLOOR_W
 
 
-def test_cluster_node_lifecycle_errors():
+def test_sched_node_rejects_job_while_busy():
+    """A busy node refuses a second job and keeps running the first."""
     engine = Engine()
-    node = ClusterNode("n", engine, app="bots-sort", compiler="gcc", optlevel="O2")
-    with pytest.raises(SimulationError):
-        node.finish()  # never launched
-    node.launch()
-    with pytest.raises(SimulationError):
-        node.launch()  # double launch
+    node = SchedNode("n", engine)
+    finished = []
+    node._on_finish = lambda _node, record: finished.append(record.index)
+    first = Job(index=0, submit_s=0.0, app="bots-sort", threads=16, scale=0.2)
+    second = Job(index=1, submit_s=0.0, app="mergesort", threads=16, scale=0.2)
+    node.start_job(first)
+    with pytest.raises(SimulationError, match="busy with j0"):
+        node.start_job(second)
+    assert node.busy
+    while node.busy:
+        engine.run(until=engine.now + 1.0)
+    node.shutdown()
+    assert finished == [0]
 
 
 def test_coordinator_requires_nodes():

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.cluster import ClusterNode, PowerCoordinator
+from repro.cluster import PowerCoordinator
 from repro.cluster.coordinator import NODE_FLOOR_W
 from repro.experiments.figures import run_scaling_series
+from repro.sched.cluster import SchedNode
 from repro.sim.engine import Engine
 
 
@@ -41,8 +42,7 @@ def test_icc_poor_scalers_match_gcc_shapes(icc_sweeps):
 def _idle_cluster(n_nodes, budget):
     engine = Engine()
     nodes = [
-        ClusterNode(f"n{i}", engine, app="bots-sort", compiler="gcc",
-                    optlevel="O2", budget_w=budget / n_nodes)
+        SchedNode(f"n{i}", engine, budget_w=budget / n_nodes)
         for i in range(n_nodes)
     ]
     coordinator = PowerCoordinator(engine, nodes, budget)
