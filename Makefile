@@ -4,7 +4,7 @@ PYTHON ?= python
 
 COV_FAIL_UNDER ?= 80
 
-.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench bench-engine bench-sweep bench-sched bench-service bench-store bench-cosched bench-obs reproduce recalibrate examples clean
+.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench bench-check bench-engine bench-sweep bench-sched bench-service bench-store bench-cosched bench-obs reproduce recalibrate examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -126,6 +126,17 @@ smoke-faults:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Repo-benchmark correctness gate: a one-second untraced run of every
+# workload.  Each run checks its outputs against the pinned digests in
+# repobench/pins.json and exits non-zero on any mismatch.
+BENCH_WORKLOADS = paper-cells sched-full sched-analytic service-mixed
+
+bench-check:
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "=== $$w ==="; \
+		$(PYTHON) repobench/run.py --workload $$w --seed 0 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # Engine hot-path benchmarks vs the committed baseline (read-only; the
 # runner refuses to rewrite BENCH_engine.json without --update).

@@ -11,9 +11,21 @@ core changes state, a duty cycle commits).  Every mutation therefore runs:
 
 1. ``_sync()``   — integrate energy/thermal/counters over the interval
    since the last sync and drain in-flight segments at the cached rates;
-2. the mutation itself;
-3. ``_recompute()`` — recompute contention, per-core rates and socket
-   power, and reschedule the next segment-completion event.
+2. the mutation itself, which marks the affected sockets dirty;
+3. ``_recompute()`` — re-derive contention, per-core rates and socket
+   power for the dirty sockets, and reschedule the next
+   segment-completion event.
+
+A segment-completion event is one batch: it retires every finished core,
+runs their ``on_complete`` callbacks with step 3 held, and then
+recomputes once.  Mutations the callbacks make at that instant run steps
+1 and 2 only — ``_sync()`` is a no-op at ``dt = 0``, so no interval is
+integrated at stale rates — and their dirty marks accumulate until the
+single recompute re-derives each socket from its final state.  Queries
+that need current rates (:meth:`Node.refresh`, :meth:`Node.power_w`,
+:meth:`Node.total_power_w`, :meth:`Node.memory_state`) recompute first,
+so a callback observes exactly the state an immediate recompute would
+have left.
 
 Because power is constant between syncs, energy integration is exact; the
 thermal step uses the closed-form RC solution, also exact per interval.
@@ -113,6 +125,9 @@ class Node:
         self._coh_in_socket: list[int] = [0] * config.sockets
         self._power_temp: list[Optional[float]] = [None] * config.sockets
         self._recompute_now: Optional[float] = None
+        #: True while a completion batch runs its callbacks: mutators then
+        #: only mark sockets dirty and the batch recomputes once at the end.
+        self._hold_recompute = False
         #: Optional attribution of active-core energy to segment tags
         #: (profiling aid; off by default to keep the sync loop lean).
         self.track_tag_energy = track_tag_energy
@@ -437,12 +452,16 @@ class Node:
             core.remaining = 0.0
             core.state = CoreState.IDLE
             self._mark_rates_dirty(core.socket, busy_changed=True)
-        # Recompute before callbacks so any state the callbacks observe
-        # (power, contention) reflects the completions.
-        self._recompute()
-        for cb in callbacks:
-            if cb is not None:
-                cb()
+        # One recompute for the whole batch: the callbacks' mutations only
+        # add dirty marks, and any query they make recomputes on demand.
+        self._hold_recompute = True
+        try:
+            for cb in callbacks:
+                if cb is not None:
+                    cb()
+        finally:
+            self._hold_recompute = False
+            self._recompute()
 
     # ------------------------------------------------------------------
     # runtime-facing control
@@ -469,7 +488,8 @@ class Node:
         core.remaining = segment.solo_seconds
         core.on_complete = on_complete
         self._mark_rates_dirty(core.socket, busy_changed=True)
-        self._recompute()
+        if not self._hold_recompute:
+            self._recompute()
 
     def _set_state(self, core_index: int, state: CoreState) -> None:
         core = self.cores[core_index]
@@ -480,7 +500,8 @@ class Node:
         self._sync()
         core.state = state
         self._mark_rates_dirty(core.socket)
-        self._recompute()
+        if not self._hold_recompute:
+            self._recompute()
 
     def set_idle(self, core_index: int) -> None:
         """Return a core to the hardware-idle (power-gated) state."""
@@ -496,7 +517,8 @@ class Node:
         if duty is not None:
             core.duty = duty
         self._mark_rates_dirty(core.socket)
-        self._recompute()
+        if not self._hold_recompute:
+            self._recompute()
 
     def set_off(self, core_index: int) -> None:
         """Park a core at the OS level (deep C-state, zero power)."""
@@ -514,7 +536,8 @@ class Node:
         core = self.cores[core_index]
         core.duty = duty
         self._mark_rates_dirty(core.socket)
-        self._recompute()
+        if not self._hold_recompute:
+            self._recompute()
 
     def set_sync_probe(self, probe: Optional[Callable[[float], None]]) -> None:
         """Install (or clear, with ``None``) the sync observer.

@@ -27,37 +27,40 @@ class MeterRecord:
 
 
 class Blackboard:
-    """Versioned hierarchical meter store (the shared-memory analog)."""
+    """Versioned hierarchical meter store (the shared-memory analog).
+
+    Each path stores a ``(value, timestamp, version)`` tuple; publishing
+    is the daemon's per-meter hot path, so :class:`MeterRecord` views are
+    only built when a client asks for one.
+    """
 
     def __init__(self) -> None:
-        self._meters: dict[str, MeterRecord] = {}
+        self._meters: dict[str, tuple[float, float, int]] = {}
         self._version = 0
 
-    def publish(self, path: str, value: float, timestamp: float) -> MeterRecord:
+    def publish(self, path: str, value: float, timestamp: float) -> None:
         """Write a meter value (daemon side)."""
         if not path:
             raise MeasurementError("meter path must be non-empty")
-        self._version += 1
-        record = MeterRecord(path=path, value=float(value),
-                             timestamp=timestamp, version=self._version)
-        self._meters[path] = record
-        return record
+        version = self._version + 1
+        self._version = version
+        self._meters[path] = (float(value), timestamp, version)
 
     def read(self, path: str) -> MeterRecord:
         """Read a meter record (client side)."""
-        record = self._meters.get(path)
-        if record is None:
+        entry = self._meters.get(path)
+        if entry is None:
             raise MeasurementError(f"no meter published at {path!r}")
-        return record
+        return MeterRecord(path, *entry)
 
     def read_value(self, path: str, default: Optional[float] = None) -> float:
         """Read just the value, with an optional default for absent meters."""
-        record = self._meters.get(path)
-        if record is None:
+        entry = self._meters.get(path)
+        if entry is None:
             if default is None:
                 raise MeasurementError(f"no meter published at {path!r}")
             return default
-        return record.value
+        return entry[0]
 
     def has(self, path: str) -> bool:
         """True if a meter has ever been published at ``path``."""
@@ -68,8 +71,8 @@ class Blackboard:
     # ------------------------------------------------------------------
     def last_update_s(self, path: str) -> Optional[float]:
         """Timestamp of the last publish at ``path``, or None if absent."""
-        record = self._meters.get(path)
-        return None if record is None else record.timestamp
+        entry = self._meters.get(path)
+        return None if entry is None else entry[1]
 
     def staleness_s(self, path: str, now: float) -> float:
         """Age of the record at ``path`` relative to ``now``, seconds.
@@ -78,10 +81,10 @@ class Blackboard:
         published at or after ``now`` has zero staleness (the daemon and a
         client can share a timestamp within one engine tick).
         """
-        record = self._meters.get(path)
-        if record is None:
+        entry = self._meters.get(path)
+        if entry is None:
             return float("inf")
-        return max(0.0, now - record.timestamp)
+        return max(0.0, now - entry[1])
 
     def is_stale(self, path: str, now: float, max_age_s: float) -> bool:
         """True when the record at ``path`` is older than ``max_age_s``."""
@@ -94,7 +97,7 @@ class Blackboard:
     def tree(self) -> dict[str, Any]:
         """Nested-dict view of the hierarchy (self-describing structure)."""
         root: dict[str, Any] = {}
-        for path, record in self._meters.items():
+        for path, entry in self._meters.items():
             parts = path.split(".")
             cursor = root
             for part in parts[:-1]:
@@ -103,11 +106,12 @@ class Blackboard:
                     raise MeasurementError(
                         f"meter path {path!r} collides with a leaf meter"
                     )
-            cursor[parts[-1]] = record.value
+            cursor[parts[-1]] = entry[0]
         return root
 
     def __iter__(self) -> Iterator[MeterRecord]:
-        return iter(self._meters.values())
+        for path, entry in self._meters.items():
+            yield MeterRecord(path, *entry)
 
     def __len__(self) -> int:
         return len(self._meters)

@@ -1,12 +1,14 @@
 """RCR stack: blackboard, daemon, region client, wrap-aware energy."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import MeasurementError
 from repro.hw.core import Segment
 from repro.hw.msr import MSRFile, MSR_PKG_ENERGY_STATUS
 from repro.measure.energy import EnergyReader, MultiSocketEnergyReader
-from repro.rcr import Blackboard, RCRDaemon, RegionClient, meters
+from repro.rcr import Blackboard, MeterRecord, RCRDaemon, RegionClient, meters
 from repro.units import RAPL_COUNTER_MODULUS, RAPL_ENERGY_UNIT_J
 
 
@@ -56,6 +58,73 @@ def test_blackboard_hierarchy():
 def test_blackboard_rejects_empty_path():
     with pytest.raises(MeasurementError):
         Blackboard().publish("", 1.0, 0.0)
+
+
+def test_blackboard_read_returns_frozen_float_record():
+    bb = Blackboard()
+    bb.publish("rcr.daemon.ticks", 7, 0.5)
+    record = bb.read("rcr.daemon.ticks")
+    assert record == MeterRecord("rcr.daemon.ticks", 7.0, 0.5, 1)
+    assert type(record.value) is float
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.value = 8.0
+    # An int publish is stored as a float on every read path.
+    assert type(bb.read_value("rcr.daemon.ticks")) is float
+    assert type(bb.tree()["rcr"]["daemon"]["ticks"]) is float
+    assert [type(r.value) for r in bb] == [float]
+
+
+def test_blackboard_versions_strictly_increase_across_paths():
+    bb = Blackboard()
+    for i, path in enumerate(["a", "b.c", "a", "d", "b.c"]):
+        bb.publish(path, i, 0.1 * i)
+    assert [r.version for r in bb] == [3, 5, 4]
+    versions = [bb.read(p).version for p in ("a", "d", "b.c")]
+    assert versions == sorted(versions) and len(set(versions)) == 3
+
+
+_PUBLISHES = [
+    ("node.socket.0.power_w", 70, 0.0),
+    ("node.socket.1.power_w", 71.5, 0.1),
+    ("node.power_w", 141.5, 0.2),
+    ("node.socket.0.power_w", 72.0, 0.3),
+]
+
+#: path -> (value, timestamp, version, staleness at t=0.35, stale at 0.1 s)
+_EXPECTED = {
+    "node.socket.0.power_w": (72.0, 0.3, 4, 0.35 - 0.3, False),
+    "node.socket.1.power_w": (71.5, 0.1, 2, 0.35 - 0.1, True),
+    "node.power_w": (141.5, 0.2, 3, 0.35 - 0.2, True),
+}
+
+
+def test_blackboard_views_match_expected_table():
+    bb = Blackboard()
+    for path, value, ts in _PUBLISHES:
+        bb.publish(path, value, ts)
+    # Iteration keeps first-publish order and yields the latest record.
+    assert list(bb) == [
+        MeterRecord(path, value, ts, version)
+        for path, (value, ts, version, _, _) in _EXPECTED.items()
+    ]
+    assert bb.paths() == sorted(_EXPECTED)
+    assert bb.paths("node.socket.1") == ["node.socket.1.power_w"]
+    assert bb.tree() == {
+        "node": {
+            "socket": {"0": {"power_w": 72.0}, "1": {"power_w": 71.5}},
+            "power_w": 141.5,
+        }
+    }
+    for path, (value, ts, version, age, stale) in _EXPECTED.items():
+        assert bb.read(path) == MeterRecord(path, value, ts, version)
+        assert bb.read_value(path) == value
+        assert bb.last_update_s(path) == ts
+        assert bb.staleness_s(path, 0.35) == age
+        assert bb.is_stale(path, 0.35, 0.1) is stale
+        assert bb.staleness_s(path, 0.0) == 0.0  # clock behind the stamp
+    assert bb.last_update_s("absent") is None
+    assert bb.staleness_s("absent", 0.35) == float("inf")
+    assert bb.is_stale("absent", 0.35, 1e9) is True
 
 
 # ------------------------------------------------- wrap-aware energy read
