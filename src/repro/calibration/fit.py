@@ -27,10 +27,9 @@ Everything not listed above is *predicted*, not fitted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
-
-from scipy.optimize import brentq
+from typing import Callable, Sequence
 
 from repro.config import MachineConfig, PAPER_MACHINE
 from repro.errors import CalibrationError
@@ -156,6 +155,64 @@ def predicted_speedup(shape: ShapeParams, p: int,
 # ----------------------------------------------------------------------
 # fitting
 # ----------------------------------------------------------------------
+#: Relative tolerance of the root bracket (scipy's ``brentq`` default).
+_RTOL = 4 * sys.float_info.epsilon
+_MAXITER = 100
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float) -> float:
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method.
+
+    An operation-for-operation port of scipy's ``brentq.c`` (Charles
+    Harris, 2002; BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.
+    and 2003-2024 SciPy Developers), so every fitted profile is
+    bit-identical to ``scipy.optimize.brentq(f, xa, xb, xtol=xtol)``.
+    Signs compare like C's ``signbit``.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise CalibrationError(
+            f"root not bracketed: f({xpre!r}) and f({xcur!r}) share a sign")
+    for _ in range(_MAXITER):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise CalibrationError(
+        f"brentq did not converge in {_MAXITER} iterations (last x={xcur!r})")
+
+
 def _with_mu_scale(shape: ShapeParams, kappa: float) -> ShapeParams:
     """Scale every phase's memory intensity by ``kappa`` (capped)."""
     return ShapeParams(
@@ -196,7 +253,7 @@ def fit_coherence_for_speedup(
         )
     if err(hi) > 0:
         raise CalibrationError(f"speedup target {speedup16} needs penalty > {hi}")
-    c = brentq(err, lo, hi, xtol=1e-6)
+    c = _brentq(err, lo, hi, xtol=1e-6)
     return make(c)
 
 
@@ -227,7 +284,7 @@ def fit_mu_scale_for_speedup(
             f"speedup target {speedup16} unreachable: full contention gives "
             f"{predicted_speedup(_with_mu_scale(shape, hi), threads, machine):.2f}"
         )
-    kappa = brentq(err, lo, hi, xtol=1e-6)
+    kappa = _brentq(err, lo, hi, xtol=1e-6)
     return _with_mu_scale(shape, kappa)
 
 
@@ -260,7 +317,7 @@ def fit_mu_scale_for_time_ratio(
             f"T12/T16 target {t12_over_t16:.4f} outside reachable "
             f"[{min(r_lo, r_hi):.4f}, {max(r_lo, r_hi):.4f}]"
         )
-    kappa = brentq(lambda k: ratio(k) - t12_over_t16, lo, hi, xtol=1e-6)
+    kappa = _brentq(lambda k: ratio(k) - t12_over_t16, lo, hi, xtol=1e-6)
     return _with_mu_scale(shape, kappa)
 
 
@@ -291,7 +348,7 @@ def fit_serial_frac_for_speedup(
         )
     if err(hi) > 0:
         raise CalibrationError(f"speedup target {speedup16} needs serial_frac > {hi}")
-    f = brentq(err, lo, hi, xtol=1e-9)
+    f = _brentq(err, lo, hi, xtol=1e-9)
     return make(f)
 
 

@@ -96,7 +96,17 @@ def _pool_initializer(paths: list[str]) -> None:
             sys.path.insert(0, path)
 
 
+def _warm_parent() -> None:
+    """Import what :func:`execute_spec` imports lazily, before forking.
+
+    Forked workers then inherit the simulator stack from the parent
+    instead of each importing it again on its first spec.
+    """
+    import repro.experiments.runner  # noqa: F401
+
+
 def _make_pool(workers: int) -> ProcessPoolExecutor:
+    _warm_parent()
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     return ProcessPoolExecutor(
@@ -176,6 +186,7 @@ def run_spec_subprocess(
     reporting a result (OOM kill, SIGKILL, hard crash), and re-raises
     the entry's own exception for ordinary spec failures.
     """
+    _warm_parent()
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     parent_conn, child_conn = ctx.Pipe(duplex=False)

@@ -32,8 +32,10 @@ from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig
 from repro.service.testing import ServiceThread
 
-#: Slow enough to catch and kill mid-run, fast enough for a smoke test.
-SLOW_SPEC = RunSpec(app="mergesort", threads=2, scale=1.0, seed=11)
+#: Slow enough to catch and kill mid-run (~0.7 s of simulation on a
+#: 2-vCPU x86_64 host), fast enough for a smoke test.  Workers fork with
+#: the simulator already imported, so start-up adds no slack to the run.
+SLOW_SPEC = RunSpec(app="mergesort", threads=2, scale=50.0, seed=11)
 FAST_SPEC = RunSpec(app="nqueens", threads=2, scale=0.05, seed=7)
 
 

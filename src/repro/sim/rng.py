@@ -12,6 +12,10 @@ root seed via ``numpy.random.SeedSequence.spawn``.  This guarantees that:
 from __future__ import annotations
 
 import numpy as np
+# numpy >= 2 loads ``numpy.random`` on first attribute access.  Import it
+# here so a process that imports the simulator has it loaded before it
+# forks workers, instead of every child importing it on its first run.
+import numpy.random  # noqa: F401
 
 from repro.errors import SimulationError
 
