@@ -4,12 +4,19 @@ PYTHON ?= python
 
 COV_FAIL_UNDER ?= 80
 
-.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench bench-check bench-engine bench-sweep bench-sched bench-service bench-store bench-cosched bench-obs reproduce recalibrate examples clean
+.PHONY: install smoke test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench bench-check bench-engine bench-sweep bench-sched bench-service bench-store bench-cosched bench-obs reproduce recalibrate examples clean
 
 install:
 	pip install -e . --no-build-isolation
 
-test: sweep-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke
+# Every end-to-end smoke, in one list: `make test` and the tier-1 CI job
+# both run exactly these.
+SMOKES = sweep-smoke validate-smoke sched-smoke serve-smoke \
+	metersweep-smoke store-smoke cosched-smoke obs-smoke
+
+smoke: $(SMOKES)
+
+test: smoke
 	$(PYTHON) -m pytest tests/
 	$(PYTHON) -m pytest repobench/tests -q
 

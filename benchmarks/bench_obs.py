@@ -6,8 +6,8 @@ Two numbers bound what instrumentation is allowed to cost:
   histogram observation, labeled and unlabeled, measured over a tight
   loop.  This is the price every instrumented hot path pays.
 * **sweep overhead** — wall time of an identical serial BatchExecutor
-  sweep with and without a registry + tracer attached (best-of-N on
-  both sides).  The instrumented/bare ratio minus one is the observer
+  sweep on a bare bus and on a bus with an ``ObsSink`` (registry +
+  tracer) subscribed (best-of-N on both sides).  The instrumented/bare ratio minus one is the observer
   overhead fraction, and it must stay **under 5%** — the registry also
   self-reports its estimated overhead, which is cross-checked against
   the directly measured gap.
@@ -94,11 +94,15 @@ def _bench_record() -> dict:
 def _sweep_once(registry, tracer) -> float:
     from repro.harness.executor import BatchExecutor
     from repro.harness.spec import RunSpec
+    from repro.harness.telemetry import TelemetryBus
+    from repro.obs import ObsSink
 
     specs = [RunSpec("nqueens", threads=2, scale=0.05, seed=seed)
              for seed in range(SWEEP_SPECS)]
-    executor = BatchExecutor(workers=1, cache=None, bus=None,
-                             registry=registry, tracer=tracer)
+    bus = TelemetryBus()
+    if registry is not None:
+        bus.subscribe(ObsSink(registry, tracer))
+    executor = BatchExecutor(workers=1, cache=None, bus=bus)
     t0 = time.perf_counter()
     records = executor.run(specs, sweep="bench-obs")
     elapsed = time.perf_counter() - t0

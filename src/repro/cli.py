@@ -80,22 +80,11 @@ def _make_harness(args: argparse.Namespace) -> Iterator["BatchExecutor"]:
     if args.events:
         jsonl = JsonlSink(args.events)
         bus.subscribe(jsonl)
-    # Observability is strictly opt-in from the CLI: no registry object
-    # even exists unless a flag asks for one, so the default path stays
-    # instrumentation-free.
-    registry = tracer = None
-    if getattr(args, "metrics", None):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    if getattr(args, "trace", None):
-        from repro.obs import SpanRecorder
-
-        tracer = SpanRecorder()
+    registry, tracer = _attach_obs(bus, getattr(args, "metrics", None),
+                                   getattr(args, "trace", None))
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     try:
-        yield BatchExecutor(workers=args.workers, cache=cache, bus=bus,
-                            registry=registry, tracer=tracer)
+        yield BatchExecutor(workers=args.workers, cache=cache, bus=bus)
     finally:
         if jsonl is not None:
             jsonl.close()
@@ -103,6 +92,23 @@ def _make_harness(args: argparse.Namespace) -> Iterator["BatchExecutor"]:
             _dump_metrics(registry, args.metrics)
         if tracer is not None:
             _dump_trace(tracer, args.trace)
+
+
+def _attach_obs(bus, metrics_path, trace_path):
+    """Subscribe an ObsSink to ``bus`` when ``--metrics``/``--trace`` ask.
+
+    Observability is strictly opt-in from the CLI: no registry or
+    recorder exists unless a flag asks for one, so the default path
+    stays instrumentation-free.  Returns ``(registry, tracer)``.
+    """
+    if not (metrics_path or trace_path):
+        return None, None
+    from repro.obs import MetricsRegistry, ObsSink, SpanRecorder
+
+    registry = MetricsRegistry() if metrics_path else None
+    tracer = SpanRecorder() if trace_path else None
+    bus.subscribe(ObsSink(registry, tracer))
+    return registry, tracer
 
 
 def _dump_metrics(registry: "MetricsRegistry", path: str) -> None:
@@ -255,17 +261,9 @@ def _cmd_sched(args: argparse.Namespace) -> int:
     if args.events:
         jsonl = JsonlSink(args.events)
         bus.subscribe(jsonl)
-    registry = tracer = None
-    if args.metrics:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    if args.trace:
-        from repro.obs import SpanRecorder
-
-        # Sim-time spans: no wall clock, timestamps come from the
-        # engine via explicit ``at=`` so the trace shows simulated time.
-        tracer = SpanRecorder(clock=lambda: 0.0)
+    # Job spans take sim-time stamps from each job event's ``time_s``,
+    # so the trace shows simulated time.
+    registry, tracer = _attach_obs(bus, args.metrics, args.trace)
     try:
         spec = SchedSpec(
             profile=args.profile,
@@ -281,8 +279,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
             retain_jobs=not args.no_retain,
             segment_jobs=args.segment_jobs,
         )
-        result = spec.execute(bus=bus, checkpoint_dir=args.checkpoint_dir,
-                              registry=registry, tracer=tracer)
+        result = spec.execute(bus=bus, checkpoint_dir=args.checkpoint_dir)
     except ReproError as exc:
         print(f"repro-paper sched: error: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,7 @@ from repro.harness.telemetry import (
     JsonlSink,
     ListSink,
     Note,
+    PoolRebuilt,
     ProgressSink,
     RunCached,
     RunFailed,
@@ -60,6 +61,7 @@ __all__ = [
     "ListSink",
     "MeasurementRecord",
     "Note",
+    "PoolRebuilt",
     "ProgressSink",
     "ResultCache",
     "RunCached",

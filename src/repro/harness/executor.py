@@ -32,6 +32,7 @@ and crash detection (:class:`~repro.errors.WorkerCrashed`).
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 import os
 import signal
@@ -96,13 +97,25 @@ def _pool_initializer(paths: list[str]) -> None:
             sys.path.insert(0, path)
 
 
-def _warm_parent() -> None:
-    """Import what :func:`execute_spec` imports lazily, before forking.
+#: What each entry imports lazily on its first spec.  The validator
+#: pulls in ``repro.validate`` (and through it ``repro.sched`` and
+#: ``repro.cluster``) on top of the simulator stack.
+_ENTRY_IMPORTS = {
+    _plain_entry: ("repro.experiments.runner",),
+    _validated_entry: ("repro.experiments.runner", "repro.validate.runner",
+                       "repro.faults.expectations"),
+}
 
-    Forked workers then inherit the simulator stack from the parent
-    instead of each importing it again on its first spec.
+
+def _warm_parent(entry: Callable = _plain_entry) -> None:
+    """Import what ``entry`` imports lazily, before forking.
+
+    Forked workers then inherit those modules from the parent instead of
+    each importing them again on its first spec.  Unknown entries get
+    the plain entry's simulator stack.
     """
-    import repro.experiments.runner  # noqa: F401
+    for module in _ENTRY_IMPORTS.get(entry, _ENTRY_IMPORTS[_plain_entry]):
+        importlib.import_module(module)
 
 
 def _make_pool(workers: int) -> ProcessPoolExecutor:
@@ -186,7 +199,7 @@ def run_spec_subprocess(
     reporting a result (OOM kill, SIGKILL, hard crash), and re-raises
     the entry's own exception for ordinary spec failures.
     """
-    _warm_parent()
+    _warm_parent(entry)
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -245,8 +258,6 @@ class BatchExecutor:
         max_pool_rebuilds: int = 2,
         validate: bool = False,
         max_violation_events: int = 10,
-        registry=None,
-        tracer=None,
     ) -> None:
         if retries < 0:
             raise HarnessError(f"retries must be >= 0, got {retries!r}")
@@ -274,43 +285,6 @@ class BatchExecutor:
         self.validate = validate
         self.max_violation_events = max_violation_events
         self.validation_reports: dict[int, "ValidationReport"] = {}
-        #: Optional observability hooks, duck-typed so this module never
-        #: imports :mod:`repro.obs`: ``registry`` is a
-        #: ``repro.obs.MetricsRegistry`` (or anything with the same
-        #: counter/histogram factories), ``tracer`` a ``SpanRecorder``.
-        #: ``None`` (the default) keeps the hot path bare — the
-        #: instrumented-vs-bare overhead benchmark compares against it.
-        self.registry = registry
-        self.tracer = tracer
-        self._run_counter = None
-        self._cache_lookups = None
-        self._cache_puts = None
-        self._rebuild_counter = None
-        self._run_seconds = None
-        if registry is not None:
-            self._run_counter = registry.counter(
-                "harness_runs_total",
-                "Per-spec run outcomes, by status.", labels=("status",))
-            for status in ("cached", "executed", "failed", "retried",
-                           "requeued"):
-                self._run_counter.inc(0.0, status=status)
-            self._cache_lookups = registry.counter(
-                "harness_cache_requests_total",
-                "Result-cache lookups before scheduling work, by outcome.",
-                labels=("result",))
-            self._cache_puts = registry.counter(
-                "harness_cache_puts_total",
-                "Records written to the result cache after execution.")
-            self._rebuild_counter = registry.counter(
-                "harness_pool_rebuilds_total",
-                "Broken process pools rebuilt mid-sweep.")
-            self._run_seconds = registry.histogram(
-                "harness_run_seconds",
-                "Per-spec execution wall seconds (cache hits excluded).")
-
-    def _obs_count(self, status: str) -> None:
-        if self._run_counter is not None:
-            self._run_counter.inc(status=status)
 
     # ------------------------------------------------------------------
     def run(
@@ -344,22 +318,13 @@ class BatchExecutor:
             sweep=sweep, total=total, workers=self.workers,
             cache=self.cache is not None,
         ))
-        self._sweep_span = None
-        if self.tracer is not None:
-            self._sweep_span = self.tracer.start(
-                f"sweep:{sweep}", track="harness", total=total,
-                workers=self.workers)
 
         pending: list[int] = []
         for i, spec in enumerate(specs):
             cached = self.cache.get(spec) if self.cache is not None else None
-            if self.cache is not None and self._run_counter is not None:
-                self._cache_lookups.inc(
-                    result="hit" if cached is not None else "miss")
             if cached is not None:
                 records[i] = cached
                 self._counts["cached"] += 1
-                self._obs_count("cached")
                 bus.emit(tel.RunCached(
                     sweep=sweep, index=i, total=total, label=spec.describe(),
                     time_s=cached.time_s, energy_j=cached.energy_j,
@@ -376,11 +341,6 @@ class BatchExecutor:
                 self._run_serial(sweep, specs, pending, records)
 
         wall_s = time.perf_counter() - t_start
-        if self._sweep_span is not None:
-            self.tracer.finish(
-                self._sweep_span, executed=self._counts["executed"],
-                cached=self._counts["cached"],
-                failed=self._counts["failed"])
         bus.emit(tel.SweepFinished(
             sweep=sweep, total=total,
             executed=self._counts["executed"],
@@ -390,6 +350,7 @@ class BatchExecutor:
             wall_s=wall_s,
             telemetry_s=bus.overhead_s - tel_before,
             events=bus.events_emitted,
+            cache=self.cache is not None,
         ))
         unrun = [i for i in range(total)
                  if records[i] is None and i not in self._errors]
@@ -416,22 +377,8 @@ class BatchExecutor:
                 records: list, report=None) -> None:
         records[i] = record
         self._counts["executed"] += 1
-        self._obs_count("executed")
-        if self._run_counter is not None:
-            self._run_seconds.observe(record.wall_s)
-        if self.tracer is not None:
-            # The run happened inside a worker; reconstruct its span on
-            # this timeline anchored at completion, duration = the
-            # worker-measured wall clock.
-            end = self.tracer.now()
-            span = self.tracer.start(
-                specs[i].describe(), parent=self._sweep_span,
-                at=end - record.wall_s, track="harness", index=i)
-            self.tracer.finish(span, at=end)
         if self.cache is not None:
             self.cache.put(specs[i], record)
-            if self._run_counter is not None:
-                self._cache_puts.inc()
         self.bus.emit(tel.RunFinished(
             sweep=sweep, index=i, total=len(specs),
             label=specs[i].describe(), time_s=record.time_s,
@@ -460,7 +407,6 @@ class BatchExecutor:
     def _fail(self, sweep: str, specs, i: int, attempts: int,
               error: BaseException, records: list) -> None:
         self._counts["failed"] += 1
-        self._obs_count("failed")
         self._errors[i] = error
         self.bus.emit(tel.RunFailed(
             sweep=sweep, index=i, total=len(specs),
@@ -489,7 +435,6 @@ class BatchExecutor:
                 except Exception as exc:
                     if attempts <= self.retries:
                         self._counts["retried"] += 1
-                        self._obs_count("retried")
                         self.bus.emit(tel.RunRetried(
                             sweep=sweep, index=i, total=total,
                             label=specs[i].describe(), attempt=attempts,
@@ -509,6 +454,7 @@ class BatchExecutor:
         started: set[int] = set()
         queue: list[int] = list(pending)
         rebuilds = 0
+        _warm_parent(self._entry)
         while queue and not self._cancelled():
             try:
                 pool = _make_pool(min(self.workers, len(queue)))
@@ -549,7 +495,6 @@ class BatchExecutor:
                         except Exception as exc:
                             if attempts[i] <= self.retries:
                                 self._counts["retried"] += 1
-                                self._obs_count("retried")
                                 self.bus.emit(tel.RunRetried(
                                     sweep=sweep, index=i, total=total,
                                     label=specs[i].describe(),
@@ -590,7 +535,6 @@ class BatchExecutor:
                     )
                 else:
                     queue.append(i)
-                    self._obs_count("requeued")
                     self.bus.emit(tel.RunRequeued(
                         sweep=sweep, index=i, total=total,
                         label=specs[i].describe(),
@@ -599,18 +543,12 @@ class BatchExecutor:
             if not queue:
                 return
             rebuilds += 1
-            if self._rebuild_counter is not None:
-                self._rebuild_counter.inc()
+            self.bus.emit(tel.PoolRebuilt(
+                sweep=sweep, attempt=rebuilds,
+                max_rebuilds=self.max_pool_rebuilds, requeued=len(queue)))
             if rebuilds > self.max_pool_rebuilds:
-                self.bus.emit(tel.Note(
-                    f"process pool broke {rebuilds} times; finishing "
-                    f"{len(queue)} runs serially in-process"))
                 self._run_serial(sweep, specs, queue, records)
                 return
-            self.bus.emit(tel.Note(
-                f"process pool broke; rebuilding (attempt {rebuilds}/"
-                f"{self.max_pool_rebuilds}) and requeueing "
-                f"{len(queue)} lost runs"))
 
     # ------------------------------------------------------------------
     def run_one(self, spec: RunSpec, *, sweep: str = "run") -> MeasurementRecord:

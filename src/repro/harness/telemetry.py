@@ -142,6 +142,9 @@ class SweepFinished:
     #: sweep — the measured cost of the telemetry layer itself.
     telemetry_s: float
     events: int
+    #: Whether a result cache was attached: every spec was looked up in
+    #: it (``total - cached`` misses) and every executed record stored.
+    cache: bool = False
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,24 @@ class InvariantViolated:
 
 
 @dataclass(frozen=True)
+class PoolRebuilt:
+    """A process pool broke mid-sweep; its lost runs were requeued.
+
+    Past ``max_rebuilds`` the pool is not rebuilt again: the remaining
+    runs finish serially in-process (:attr:`serial`).
+    """
+
+    sweep: str
+    attempt: int
+    max_rebuilds: int
+    requeued: int
+
+    @property
+    def serial(self) -> bool:
+        return self.attempt > self.max_rebuilds
+
+
+@dataclass(frozen=True)
 class Note:
     """Free-form informational message (calibration fit notes etc.)."""
 
@@ -184,7 +205,7 @@ class Note:
 Event = Union[
     SweepStarted, RunStarted, RunFinished, RunCached, RunRetried,
     RunRequeued, RunFailed, SweepProgress, SweepFinished, RunValidated,
-    InvariantViolated, Note,
+    InvariantViolated, PoolRebuilt, Note,
 ]
 
 
@@ -321,6 +342,16 @@ class ProgressSink:
                 f"    {marker}: {event.invariant} ({event.category}) "
                 f"in {event.label}: {event.message}"
             )
+        elif isinstance(event, PoolRebuilt):
+            if event.serial:
+                self._line(
+                    f"process pool broke {event.attempt} times; finishing "
+                    f"{event.requeued} runs serially in-process")
+            else:
+                self._line(
+                    f"process pool broke; rebuilding (attempt "
+                    f"{event.attempt}/{event.max_rebuilds}) and requeueing "
+                    f"{event.requeued} lost runs")
         elif isinstance(event, Note):
             self._line(event.message)
         # SweepProgress / RunStarted are intentionally silent here: the

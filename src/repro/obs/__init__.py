@@ -14,12 +14,16 @@ The operational layer the rest of the stack reports into:
 * :mod:`~repro.obs.export` — Prometheus text exposition (served by the
   service's ``metrics`` frame and optional HTTP scrape port) and its
   parsing inverse;
-* :mod:`~repro.obs.report` — the ``repro obs report`` renderer.
+* :mod:`~repro.obs.report` — the ``repro obs report`` renderer;
+* :mod:`~repro.obs.sink` — :class:`ObsSink`, the one path from the
+  typed telemetry events into the registry and the span recorder.
 
-Instrumented modules (service, harness executor, cluster sim) take the
-registry/recorder as *optional duck-typed parameters* — they never
-import this package, observability off is the default, and enabling it
-cannot perturb simulated physics (golden digests stay bit-identical).
+The harness executor, the cluster sim and the service report each state
+change once, as an event on their ``TelemetryBus``; they never import
+this package.  Observability is a sink subscribed to that bus (event →
+:class:`ObsSink` → registry/recorder).  Off is the default, and it only
+reads events, so enabling it cannot perturb simulated physics (golden
+digests stay bit-identical).
 """
 
 from repro.obs.export import (
@@ -41,6 +45,7 @@ from repro.obs.metrics import (
     MetricsSnapshot,
 )
 from repro.obs.report import render_metrics_frame, render_snapshot
+from repro.obs.sink import ObsSink
 from repro.obs.trace import DEFAULT_MAX_SPANS, Span, SpanRecorder
 
 __all__ = [
@@ -56,6 +61,7 @@ __all__ = [
     "InstrumentSnapshot",
     "MetricsRegistry",
     "MetricsSnapshot",
+    "ObsSink",
     "ParsedExposition",
     "Span",
     "SpanRecorder",

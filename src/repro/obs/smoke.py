@@ -10,7 +10,8 @@ whole observability path in a few seconds against throwaway state:
    latency quantiles, crash counter, cache hits) plus the registry's
    own observer-overhead books;
 3. render ``repro obs report`` output from the live frame;
-4. run a tiny scheduled campaign with a sim-time tracer and JSON-load
+4. run a tiny scheduled campaign with an :class:`~repro.obs.ObsSink`
+   (registry plus sim-time tracer) on its telemetry bus and JSON-load
    the Chrome trace it writes;
 5. audit every snapshot with :func:`repro.validate.obs.check_snapshot`.
 
@@ -26,9 +27,11 @@ import tempfile
 from pathlib import Path
 
 from repro.harness.spec import RunSpec
+from repro.harness.telemetry import TelemetryBus
 from repro.obs import (
     MetricsRegistry,
     MetricsSnapshot,
+    ObsSink,
     SpanRecorder,
     parse_prometheus,
     render_metrics_frame,
@@ -90,7 +93,7 @@ def run_smoke(root: Path) -> str:
     registry = MetricsRegistry()
     tracer = SpanRecorder(clock=lambda: 0.0)
     spec = SchedSpec(nodes=2, jobs=5, scale=0.3, seed=3)
-    result = spec.execute(registry=registry, tracer=tracer)
+    result = spec.execute(bus=TelemetryBus([ObsSink(registry, tracer)]))
     assert result.completed == 5, result
     trace_path = root / "sched-trace.json"
     events = tracer.write_chrome_trace(trace_path)

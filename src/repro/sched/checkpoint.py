@@ -59,6 +59,9 @@ class SchedCheckpoint:
     accumulator: SchedAccumulator = field(default_factory=SchedAccumulator)
     records: list[JobRecord] = field(default_factory=list)
     schema: str = CHECKPOINT_SCHEMA
+    #: Clamped coordinator rounds so far (telemetry only: it reaches
+    #: ``SchedFinished``, never the result or its digest).
+    clamp_rounds: int = 0
 
 
 def checkpoint_path(directory: Path, spec: "SchedSpec") -> Path:
@@ -149,7 +152,9 @@ def _run_one_segment(
         accumulator=state.accumulator,
         records=state.records,
     )
-    return sim.run_segment()
+    clock_s = sim.run_segment()
+    state.clamp_rounds += sim.clamp_rounds
+    return clock_s
 
 
 def run_segmented(
@@ -200,5 +205,5 @@ def run_segmented(
     )
     if checkpoint_dir is not None:
         clear_checkpoint(checkpoint_dir, spec)
-    emit_finished(bus, spec, result)
+    emit_finished(bus, spec, result, state.clamp_rounds)
     return result

@@ -224,7 +224,8 @@ def build_result(
 
 
 def emit_finished(
-    bus: TelemetryBus, spec: "SchedSpec", result: SchedResult
+    bus: TelemetryBus, spec: "SchedSpec", result: SchedResult,
+    clamp_rounds: int = 0,
 ) -> None:
     """Emit the run-complete telemetry event (one per logical run)."""
     bus.emit(stel.SchedFinished(
@@ -232,6 +233,7 @@ def emit_finished(
         submitted=result.submitted, completed=result.completed,
         rejected=result.rejected_count, makespan_s=result.makespan_s,
         peak_power_w=result.peak_power_w, budget_w=spec.budget_w,
+        clamp_rounds=clamp_rounds,
     ))
 
 
@@ -248,39 +250,9 @@ class ClusterSim:
         engine: Optional[Engine] = None,
         accumulator: Optional[SchedAccumulator] = None,
         records: Optional[list[JobRecord]] = None,
-        registry=None,
-        tracer=None,
     ) -> None:
         self.spec = spec
         self.bus = bus if bus is not None else TelemetryBus()
-        #: Optional observability hooks (duck-typed ``repro.obs``
-        #: objects; this module never imports the package).  Metrics use
-        #: wall clocks only for the policy's own compute time; *span
-        #: timestamps are sim-time* (explicit ``at=engine.now``), so a
-        #: Chrome trace of a campaign shows the simulated timeline and
-        #: enabling tracing cannot perturb the physics.
-        self.tracer = tracer
-        self._m_dispatched = self._m_shed = self._m_select = None
-        self._m_clamp = None
-        if registry is not None:
-            self._m_dispatched = registry.counter(
-                "sched_jobs_dispatched_total",
-                "Jobs placed onto nodes, by policy.", labels=("policy",))
-            self._m_shed = registry.counter(
-                "sched_jobs_shed_total",
-                "Arrivals rejected by the full admission queue.")
-            self._m_select = registry.histogram(
-                "sched_policy_select_seconds",
-                "Wall seconds per placement-policy select() call.",
-                labels=("policy",))
-            self._m_clamp = registry.counter(
-                "sched_clamp_rounds_total",
-                "Coordinator rounds with at least one node clamped "
-                "below its full thread count.")
-            self._m_dispatched.inc(0.0, policy=spec.policy)
-            self._m_shed.inc(0.0)
-            self._m_clamp.inc(0.0)
-        self._job_spans: dict[str, object] = {}
         self.engine = engine if engine is not None else Engine()
         self.policy: PlacementPolicy = make_policy(spec.policy, model=spec.predictor)
         #: Lazy source of this segment's jobs; never materialized.  The
@@ -312,6 +284,9 @@ class ClusterSim:
         )
         self._scheduled = 0
         self._arrived = 0
+        #: Coordinator rounds with a node clamped below its full thread
+        #: count (set when the segment drains; reported on SchedFinished).
+        self.clamp_rounds = 0
         self._tick_event = None
         #: Segment start clock; the time limit is relative to it.
         self._t0_sim = self.engine.now
@@ -329,7 +304,7 @@ class ClusterSim:
             self.records,
             wall_s=time.perf_counter() - t0,
         )
-        emit_finished(self.bus, self.spec, result)
+        emit_finished(self.bus, self.spec, result, self.clamp_rounds)
         return result
 
     def run_segment(self) -> float:
@@ -367,11 +342,10 @@ class ClusterSim:
                 self.coordinator.samples, spec.budget_w, nodes=len(self.nodes)
             )
         )
-        if self._m_clamp is not None:
-            for sample in self.coordinator.samples:
-                if any(limit < spec.node_threads
-                       for limit in sample.clamp_limits.values()):
-                    self._m_clamp.inc()
+        self.clamp_rounds = sum(
+            1 for sample in self.coordinator.samples
+            if any(limit < spec.node_threads
+                   for limit in sample.clamp_limits.values()))
         self.accumulator.add_segment(
             peak_power_w=self.coordinator.peak_cluster_power_w,
             peak_queue_depth=self.queue.peak_depth,
@@ -422,8 +396,6 @@ class ClusterSim:
             ))
             if not self.queue.offer(job):
                 self.accumulator.add_rejection(job.index)
-                if self._m_shed is not None:
-                    self._m_shed.inc()
                 self.bus.emit(stel.JobRejected(
                     index=job.index, app=job.app,
                     queue_depth=self.queue.depth, time_s=self.engine.now,
@@ -435,11 +407,6 @@ class ClusterSim:
         return fire
 
     def _job_finished(self, node: SchedNode, record: JobRecord) -> None:
-        if self.tracer is not None:
-            span = self._job_spans.pop(node.name, None)
-            if span is not None:
-                self.tracer.finish(span, at=self.engine.now,
-                                   energy_j=record.energy_j)
         self.accumulator.add_job(record)
         if self.spec.retain_jobs:
             self.records.append(record)
@@ -486,14 +453,14 @@ class ClusterSim:
         by_name = {node.name: node for node in self.nodes}
         while len(self.queue) > 0:
             views, state = self._snapshot()
-            if self._m_select is not None:
-                t0 = time.perf_counter()
-                pick = self.policy.select(self.queue.jobs, views, state)
-                self._m_select.observe(time.perf_counter() - t0,
-                                       policy=self.spec.policy)
-            else:
-                pick = self.policy.select(self.queue.jobs, views, state)
+            t0 = time.perf_counter()
+            pick = self.policy.select(self.queue.jobs, views, state)
+            select_s = time.perf_counter() - t0
             if pick is None:
+                self.bus.emit(stel.PolicyHeld(
+                    policy=self.spec.policy, queued=len(self.queue),
+                    time_s=self.engine.now, select_s=select_s,
+                ))
                 return
             position, node_name = pick
             node = by_name.get(node_name)
@@ -505,19 +472,11 @@ class ClusterSim:
                 )
             job = self.queue.take(position)
             node.start_job(job)
-            if self._m_dispatched is not None:
-                self._m_dispatched.inc(policy=self.spec.policy)
-            if self.tracer is not None:
-                self._job_spans[node.name] = self.tracer.start(
-                    f"{job.app}:j{job.index}", at=self.engine.now,
-                    track=node.name, threads=job.threads,
-                    policy=self.spec.policy,
-                    wait_s=self.engine.now - job.submit_s)
             self.bus.emit(stel.JobPlaced(
-                index=job.index, app=job.app, node=node.name,
-                policy=self.spec.policy,
+                index=job.index, app=job.app, threads=job.threads,
+                node=node.name, policy=self.spec.policy,
                 wait_s=self.engine.now - job.submit_s,
-                time_s=self.engine.now,
+                time_s=self.engine.now, select_s=select_s,
             ))
 
 
@@ -527,17 +486,14 @@ def run_sched(
     bus: Optional[TelemetryBus] = None,
     engine: Optional[Engine] = None,
     checkpoint_dir=None,
-    registry=None,
-    tracer=None,
 ) -> SchedResult:
     """Run a spec via whichever execution path it selects.
 
     ``checkpoint_dir`` (a path) enables atomic between-segment
     checkpoints and resume for specs with ``segment_jobs`` set; it is an
     execution detail (where on disk), never part of the spec digest.
-    ``registry``/``tracer`` attach observability (full simulation path
-    only — the analytic and segmented paths build their own sims); like
-    ``bus``, they are execution details that never reach the digest.
+    Like ``bus`` (which carries every job event a metrics or trace sink
+    needs), it never reaches the digest.
     """
     if spec.execution == "analytic":
         from repro.sched.analytic import run_analytic
@@ -547,5 +503,4 @@ def run_sched(
         from repro.sched.checkpoint import run_segmented
 
         return run_segmented(spec, bus=bus, checkpoint_dir=checkpoint_dir)
-    return ClusterSim(spec, spec_jobs(spec), bus=bus, engine=engine,
-                      registry=registry, tracer=tracer).run()
+    return ClusterSim(spec, spec_jobs(spec), bus=bus, engine=engine).run()

@@ -214,20 +214,17 @@ class SchedSpec:
         *,
         bus: "TelemetryBus | None" = None,
         checkpoint_dir=None,
-        registry=None,
-        tracer=None,
     ) -> "SchedResult":
         """Run this spec in-process (the executor's self-execution hook).
 
         ``checkpoint_dir`` is an execution detail (where checkpoints
         live on disk), never part of the digest: the result is
-        bit-identical with or without it.  ``registry``/``tracer`` are
-        optional :mod:`repro.obs` hooks with the same property.
+        bit-identical with or without it.  So is ``bus``, which is also
+        where :mod:`repro.obs` sinks attach.
         """
         from repro.sched.cluster import run_sched
 
-        return run_sched(self, bus=bus, checkpoint_dir=checkpoint_dir,
-                         registry=registry, tracer=tracer)
+        return run_sched(self, bus=bus, checkpoint_dir=checkpoint_dir)
 
     @property
     def segment_count(self) -> int:

@@ -41,10 +41,24 @@ class JobPlaced:
 
     index: int
     app: str
+    threads: int
     node: str
     policy: str
     wait_s: float
     time_s: float
+    #: Host wall seconds the policy's ``select()`` call took.
+    select_s: float
+
+
+@dataclass(frozen=True)
+class PolicyHeld:
+    """The placement policy declined to place any queued job."""
+
+    policy: str
+    queued: int
+    time_s: float
+    #: Host wall seconds the policy's ``select()`` call took.
+    select_s: float
 
 
 @dataclass(frozen=True)
@@ -72,6 +86,9 @@ class SchedFinished:
     makespan_s: float
     peak_power_w: float
     budget_w: float
+    #: Coordinator rounds with at least one node clamped below its full
+    #: thread count (0 for analytic runs, which model no clamp).
+    clamp_rounds: int = 0
 
 
 class SchedProgressSink:

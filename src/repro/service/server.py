@@ -44,9 +44,11 @@ from repro.harness.telemetry import TelemetryBus
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
+    ObsSink,
     SpanRecorder,
     to_prometheus,
 )
+from repro.obs.sink import SERVICE_EVENT_KEYS as EVENT_KEYS
 from repro.service import telemetry as stel
 from repro.service.jobs import Job, JobState, result_summary
 from repro.service.journal import Journal
@@ -103,19 +105,6 @@ class ServiceConfig:
     metrics_port: Optional[int] = None
 
 
-#: Lifecycle/admission event names (label values of
-#: ``service_events_total`` and keys of the back-compat ``counters``
-#: mapping).  Declared up front so every series exists — and exports as
-#: an explicit zero — before the first event fires.
-EVENT_KEYS = (
-    "accepted", "attached", "cache_hits", "executed",
-    "shed_queue", "shed_quota", "shed_draining",
-    "retries", "timeouts", "crashes", "requeues",
-    "failed", "dead", "cancelled", "recovered",
-    "stream_dropped",
-)
-
-
 class _StreamFanout:
     """Telemetry sink fanning events out to every streaming client."""
 
@@ -170,16 +159,17 @@ class ExperimentService:
         self._fanout = _StreamFanout(self)
         self._metrics_server: Optional[asyncio.AbstractServer] = None
         # Instruments: the registry is the single source of truth for
-        # operational state; the legacy ``counters`` mapping (and the
-        # ``stats`` frame built on it) is a read-only view of
-        # ``service_events_total``.
+        # operational state.  Lifecycle counters, the queue gauges and
+        # per-job spans come from this service's own events through the
+        # sink (attached to the bus while the service runs); the legacy
+        # ``counters`` mapping (and the ``stats`` frame built on it) is a
+        # read-only view of ``service_events_total``.  Only what no event
+        # carries is recorded here directly.
         reg = self.registry
-        self._events = reg.counter(
-            "service_events_total",
-            "Job lifecycle and admission events, by kind.",
-            labels=("event",))
-        for key in EVENT_KEYS:
-            self._events.inc(0.0, event=key)
+        self._obs = ObsSink(reg, self.tracer)
+        self._obs.open("service")
+        self._events = reg.get("service_events_total")
+        self._cache_requests = reg.get("service_cache_requests_total")
         self._frames = reg.counter(
             "service_frames_total",
             "Protocol frames handled, by op (invalid: protocol errors).",
@@ -188,23 +178,10 @@ class ExperimentService:
             "service_frame_seconds",
             "Frame handling latency in seconds, by op.",
             labels=("op",))
-        self._queue_depth_gauge = reg.gauge(
-            "service_queue_depth", "Jobs waiting in the admission queue.",
-            agg="max")
-        self._in_flight_gauge = reg.gauge(
-            "service_in_flight", "Jobs occupying worker slots.", agg="max")
         self._streams_gauge = reg.gauge(
             "service_streams_active", "Connected telemetry-stream clients.",
             agg="max")
-        for gauge in (self._queue_depth_gauge, self._in_flight_gauge,
-                      self._streams_gauge):
-            gauge.set(0.0)
-        self._cache_requests = reg.counter(
-            "service_cache_requests_total",
-            "Result-cache lookups on the admission path, by outcome.",
-            labels=("result",))
-        self._cache_requests.inc(0.0, result="hit")
-        self._cache_requests.inc(0.0, result="miss")
+        self._streams_gauge.set(0.0)
         self._stream_drops = reg.counter(
             "service_stream_dropped_total",
             "Telemetry events dropped by slow streaming clients "
@@ -236,9 +213,6 @@ class ExperimentService:
         return {key: int(self._events.value(event=key))
                 for key in EVENT_KEYS}
 
-    def _count(self, event: str) -> None:
-        self._events.inc(event=event)
-
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._started_at = time.time()
@@ -260,6 +234,7 @@ class ExperimentService:
             self._metrics_server = await asyncio.start_server(
                 self._handle_scrape, self.config.host,
                 self.config.metrics_port)
+        self.bus.subscribe(self._obs)
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
         if plan is not None and plan.pending:
             recovered = self._recover(plan)
@@ -295,7 +270,6 @@ class ExperimentService:
                       client=entry["client"],
                       subscribers=list(entry["clients"]))
             self._track(job)
-            self._count("recovered")
             self._journal("recovered", job=job)
             if self._complete_from_cache(job):
                 cache_hits += 1
@@ -358,6 +332,7 @@ class ExperimentService:
             self.journal.close()
         if self._threads is not None:
             self._threads.shutdown(wait=False)
+        self.bus.unsubscribe(self._obs)
         self._stopped.set()
 
     # ------------------------------------------------------------------
@@ -387,8 +362,6 @@ class ExperimentService:
         self._done[job.id] = asyncio.Event()
 
     def _gauge(self) -> None:
-        self._queue_depth_gauge.set(float(len(self.queue)))
-        self._in_flight_gauge.set(float(self._busy))
         self.bus.emit(stel.QueueDepthChanged(
             depth=len(self.queue), in_flight=self._busy))
 
@@ -411,15 +384,13 @@ class ExperimentService:
         if self.cache is None:
             return False
         record = self.cache.get(job.spec)
-        self._cache_requests.inc(result="hit" if record is not None
-                                 else "miss")
         if record is None:
+            self._cache_requests.inc(result="miss")
             return False
         job.source = "cache"
         job.result = result_summary(record)
         self._journal("finished", job=job, source="cache")
         self._finalize(job, JobState.DONE)
-        self._count("cache_hits")
         self.bus.emit(stel.JobCacheHit(
             job=job.id, digest=job.digest, client=job.client))
         return True
@@ -432,7 +403,6 @@ class ExperimentService:
         kind = frame["spec"].get("kind", "run")
         client = frame.get("client") or peer
         if self._draining:
-            self._count("shed_draining")
             self.bus.emit(stel.JobShed(client=client, reason="draining",
                                        retry_after_s=0.0))
             return error_response("submit", "service is draining",
@@ -448,7 +418,6 @@ class ExperimentService:
                 known = remembered
         if known is not None:
             known.subscribers.append(client)
-            self._count("attached")
             self._journal("attached", job=known, client=client)
             self.bus.emit(stel.JobAttached(
                 job=known.id, digest=known.digest, client=client,
@@ -468,7 +437,6 @@ class ExperimentService:
         wait_s = self.quotas.admit(client)
         if wait_s > 0.0:
             self._forget(job)
-            self._count("shed_quota")
             self._journal("cancelled", job=job, reason="quota")
             self.bus.emit(stel.JobShed(client=client, reason="quota",
                                        retry_after_s=wait_s))
@@ -478,13 +446,11 @@ class ExperimentService:
             self.queue.push(job)
         except AdmissionError as exc:
             self._forget(job)
-            self._count("shed_queue")
             self._journal("cancelled", job=job, reason="queue-full")
             self.bus.emit(stel.JobShed(client=client, reason=exc.reason,
                                        retry_after_s=exc.retry_after_s))
             return error_response("submit", str(exc), reason=exc.reason,
                                   retry_after_s=exc.retry_after_s)
-        self._count("accepted")
         self.bus.emit(stel.JobAccepted(
             job=job.id, digest=job.digest, kind=kind, client=client,
             queue_depth=len(self.queue)))
@@ -519,7 +485,8 @@ class ExperimentService:
         job.pid = pid
         self._journal("started", job=job, attempt=job.attempts, pid=pid)
         self.bus.emit(stel.JobStarted(
-            job=job.id, digest=job.digest, attempt=job.attempts, pid=pid))
+            job=job.id, digest=job.digest, kind=job.kind,
+            attempt=job.attempts, pid=pid))
 
     async def _run_job(self, job: Job) -> None:
         loop = asyncio.get_running_loop()
@@ -533,16 +500,11 @@ class ExperimentService:
                 def _on_start(pid: int, job=job) -> None:
                     loop.call_soon_threadsafe(self._note_started, job, pid)
 
-                span = self.tracer.start(
-                    f"job:{job.kind}", track="workers", job=job.id,
-                    digest=job.digest[:12], attempt=job.attempts)
                 outcome = await loop.run_in_executor(
                     self._threads, lambda: self.runner.run(
                         job.id, job.spec, on_start=_on_start))
-                self.tracer.finish(span, outcome=outcome.kind)
                 if job.cancel_requested:
                     job.error = "cancelled while running"
-                    self._count("cancelled")
                     self._journal("cancelled", job=job, reason="client")
                     self.bus.emit(stel.JobCancelled(job=job.id,
                                                     digest=job.digest))
@@ -552,7 +514,6 @@ class ExperimentService:
                     job.source = "executed"
                     job.result = result_summary(outcome.record)
                     job.error = None
-                    self._count("executed")
                     self._journal("finished", job=job, source="executed")
                     self.bus.emit(stel.JobFinished(
                         job=job.id, digest=job.digest,
@@ -563,7 +524,6 @@ class ExperimentService:
                     self._finalize(job, JobState.DONE)
                     return
                 if outcome.kind == "crash":
-                    self._count("crashes")
                     self.bus.emit(stel.WorkerCrashDetected(
                         job=job.id, digest=job.digest, pid=outcome.pid))
                     job.redeliveries += 1
@@ -571,7 +531,6 @@ class ExperimentService:
                     if job.redeliveries > config.max_redeliveries:
                         # Poison quarantine: this spec keeps killing its
                         # workers; stop redelivering it.
-                        self._count("dead")
                         self._journal("dead", job=job, reason="poison",
                                       error=outcome.error)
                         self.bus.emit(stel.JobDead(
@@ -580,7 +539,6 @@ class ExperimentService:
                             redeliveries=job.redeliveries))
                         self._finalize(job, JobState.DEAD)
                         return
-                    self._count("requeues")
                     job.state = JobState.QUEUED
                     self._journal("requeued", job=job,
                                   redelivery=job.redeliveries)
@@ -595,23 +553,20 @@ class ExperimentService:
                 # retries, then a terminal state.
                 job.failures += 1
                 job.error = outcome.error
-                if outcome.kind == "timeout":
-                    self._count("timeouts")
                 if job.failures <= config.retries:
                     delay = min(
                         config.backoff_base_s * (2 ** (job.failures - 1)),
                         config.backoff_max_s)
-                    self._count("retries")
                     self._journal("retry", job=job, attempt=job.attempts,
                                   delay_s=delay, error=outcome.error)
                     self.bus.emit(stel.JobRetried(
                         job=job.id, digest=job.digest, attempt=job.attempts,
-                        delay_s=delay, error=outcome.error))
+                        delay_s=delay, error=outcome.error,
+                        reason=outcome.kind))
                     await asyncio.sleep(delay)
                     continue
                 if outcome.kind == "timeout":
                     # Dead-letter: the spec never fits its deadline.
-                    self._count("dead")
                     self._journal("dead", job=job, reason="timeout",
                                   error=outcome.error)
                     self.bus.emit(stel.JobDead(
@@ -620,7 +575,6 @@ class ExperimentService:
                         redeliveries=job.redeliveries))
                     self._finalize(job, JobState.DEAD)
                     return
-                self._count("failed")
                 self._journal("failed", job=job, error=outcome.error)
                 self.bus.emit(stel.JobFailed(
                     job=job.id, digest=job.digest, attempts=job.attempts,
@@ -743,7 +697,6 @@ class ExperimentService:
                     **job.snapshot()}
         if self.queue.remove(job):
             job.error = "cancelled while queued"
-            self._count("cancelled")
             self._journal("cancelled", job=job, reason="client")
             self.bus.emit(stel.JobCancelled(job=job.id, digest=job.digest))
             self._finalize(job, JobState.CANCELLED)
@@ -839,7 +792,7 @@ class ExperimentService:
                 # service on a client's socket.
                 with contextlib.suppress(asyncio.QueueEmpty):
                     queue.get_nowait()
-                self._count("stream_dropped")
+                self._events.inc(event="stream_dropped")
                 self._stream_drops.inc()
             queue.put_nowait(frame)
 

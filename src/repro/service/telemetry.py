@@ -4,8 +4,9 @@ The service narrates itself on the same
 :class:`~repro.harness.telemetry.TelemetryBus` the harness uses — the
 sinks (``JsonlSink``, ``ListSink``) are event-agnostic, so service
 events ride the existing machinery and stream to subscribed clients as
-NDJSON.  The metrics the ROADMAP calls out are all here: queue depth on
-every transition, retries, shed counts, and restart recoveries.
+NDJSON.  Every operational counter the service exports is derived from
+these events by :class:`repro.obs.ObsSink`: queue depth on every
+transition, retries, timeouts, shed counts and restart recoveries.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ class JobStarted:
 
     job: str
     digest: str
+    kind: str
     attempt: int
     pid: int
 
@@ -115,6 +117,7 @@ class JobRetried:
     attempt: int
     delay_s: float
     error: str
+    reason: str  # timeout | error
 
 
 @dataclass(frozen=True)

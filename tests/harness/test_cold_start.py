@@ -19,13 +19,13 @@ pytestmark = pytest.mark.harness
 _SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
-def _run_fresh(source: str):
+def _run_fresh(source: str, *args: str):
     """Run ``source`` in a new interpreter; return its last stdout line
     parsed as JSON."""
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", source], env=env,
+    proc = subprocess.run([sys.executable, "-c", source, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -78,3 +78,31 @@ print(json.dumps([sorted(m for m in sys.modules
     scipy_modules, has_numpy_random = _run_fresh(probe)
     assert scipy_modules == []
     assert has_numpy_random
+
+
+_VALIDATED_PROBE = """
+import json, sys
+from repro.harness import BatchExecutor, RunSpec
+from repro.harness.executor import _validated_entry, run_spec_subprocess
+
+spec = RunSpec("nqueens", scale=0.05)
+if sys.argv[1] == "pool":
+    BatchExecutor(workers=2, validate=True).run(
+        [spec, RunSpec("nqueens", scale=0.05, seed=1)])
+else:
+    run_spec_subprocess(spec, entry=_validated_entry)
+# A forked worker is a copy of this process as it was when the fork path
+# forked it, so what the validator still imports here is what each
+# worker would have imported on its first spec.
+before = set(sys.modules)
+_validated_entry(spec)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("path", ["subprocess", "pool"])
+def test_validated_entry_forks_warm(path):
+    """Validate-mode workers inherit the validator (``repro.validate``,
+    ``repro.sched``, ``repro.cluster``, ``repro.faults.expectations``)
+    rather than importing it on their first spec."""
+    assert _run_fresh(_VALIDATED_PROBE, path) == []

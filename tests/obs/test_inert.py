@@ -1,10 +1,11 @@
 """Instrumentation is physics-inert: identical results with obs attached.
 
 The acceptance bar for the observability layer is bit-identity, not
-"close": attaching a registry and tracer to the harness or the scheduler
-must not move a single measured joule, second or digest.  These tests
-run each path bare and instrumented and compare exact outputs — the
-observability analogue of the golden-trace suite.
+"close": subscribing an ObsSink (registry and tracer) to the harness's
+or the scheduler's telemetry bus must not move a single measured joule,
+second or digest.  These tests run each path bare and instrumented and
+compare exact outputs — the observability analogue of the golden-trace
+suite.
 """
 
 import dataclasses
@@ -13,7 +14,8 @@ import pytest
 
 from repro.harness.executor import BatchExecutor
 from repro.harness.spec import RunSpec
-from repro.obs import MetricsRegistry, SpanRecorder
+from repro.harness.telemetry import TelemetryBus
+from repro.obs import MetricsRegistry, ObsSink, SpanRecorder
 from repro.sched.spec import SchedSpec
 
 pytestmark = pytest.mark.obs
@@ -34,7 +36,8 @@ def test_harness_records_bit_identical_with_obs_attached():
     bare = BatchExecutor(workers=1, cache=None).run(SPECS, sweep="bare")
     registry, tracer = MetricsRegistry(), SpanRecorder()
     instrumented = BatchExecutor(
-        workers=1, cache=None, registry=registry, tracer=tracer,
+        workers=1, cache=None,
+        bus=TelemetryBus([ObsSink(registry, tracer)]),
     ).run(SPECS, sweep="instrumented")
     assert [_strip_wall(r) for r in bare] == \
         [_strip_wall(r) for r in instrumented]
@@ -48,7 +51,8 @@ def test_sched_result_digest_bit_identical_with_obs_attached():
     spec = SchedSpec(nodes=2, jobs=6, scale=0.3, seed=5)
     bare = spec.execute()
     registry, tracer = MetricsRegistry(), SpanRecorder(clock=lambda: 0.0)
-    instrumented = spec.execute(registry=registry, tracer=tracer)
+    instrumented = spec.execute(
+        bus=TelemetryBus([ObsSink(registry, tracer)]))
     assert bare.result_digest() == instrumented.result_digest()
     snap = registry.snapshot()
     dispatched = snap.instruments["sched_jobs_dispatched_total"]
@@ -59,7 +63,7 @@ def test_sched_result_digest_bit_identical_with_obs_attached():
 def test_sched_trace_spans_use_sim_time():
     spec = SchedSpec(nodes=2, jobs=4, scale=0.3, seed=5)
     tracer = SpanRecorder(clock=lambda: 0.0)
-    result = spec.execute(tracer=tracer)
+    result = spec.execute(bus=TelemetryBus([ObsSink(tracer=tracer)]))
     # every span must sit inside the simulated makespan, not wall time
     for span in tracer.spans:
         assert 0.0 <= span.start_s <= span.end_s <= result.makespan_s + 1e-9
